@@ -33,8 +33,11 @@ rows are themselves valid trial input, so the scan caches each cube's
 equations *reduced against the committed basis* and every later selection
 step only pays for the pivots committed since (see
 :meth:`~repro.gf2.solve.IncrementalSolver.try_augmented`).  The first scan of
-a cube within a seed reduces all window positions in one numpy batch
-(:meth:`~repro.gf2.solve.IncrementalSolver.try_positions`).  Constructing the
+a cube within a seed trial-solves all window positions in one vectorized
+call (:meth:`~repro.gf2.solve.IncrementalSolver.try_positions_packed`:
+byte-table basis elimination, then a consistency mask for every position at
+once).  Only the solvable positions come back from a scan, so the selection
+step never walks the (typically ~95%) inconsistent ones.  Constructing the
 encoder with ``batch_trials=False`` restores the original re-reduce-from-
 scratch scan; the two produce bit-identical results (the golden-equivalence
 test relies on this).
@@ -287,31 +290,27 @@ class WindowEncoder:
             candidates: List[_Candidate] = []
             for cube_index in by_count[count]:
                 positions = open_positions.setdefault(cube_index, list(range(window)))
-                solvable: List[Tuple[int, TrialResult]] = []
-                still_open: List[int] = []
                 if self._batch_trials:
-                    trials = self._scan_positions(
+                    solvable = self._scan_positions(
                         solver, cubes[cube_index], positions, residuals, cube_index
                     )
                 else:
                     equations = cube_equations[cube_index]
-                    trials = [
-                        solver.try_masks(equations[position]) for position in positions
-                    ]
-                for position, trial in zip(positions, trials):
-                    if trial.consistent:
-                        solvable.append((position, trial))
-                        still_open.append(position)
-                open_positions[cube_index] = still_open
-                for position, trial in solvable:
-                    candidates.append(
-                        _Candidate(
-                            cube_index=cube_index,
-                            position=position,
-                            trial=trial,
-                            solvable_count=len(solvable),
-                        )
+                    solvable = []
+                    for position in positions:
+                        trial = solver.try_masks(equations[position])
+                        if trial.consistent:
+                            solvable.append((position, trial))
+                open_positions[cube_index] = [position for position, _ in solvable]
+                candidates.extend(
+                    _Candidate(
+                        cube_index=cube_index,
+                        position=position,
+                        trial=trial,
+                        solvable_count=len(solvable),
                     )
+                    for position, trial in solvable
+                )
             if candidates:
                 return self._pick(candidates)
         return None
@@ -323,22 +322,24 @@ class WindowEncoder:
         positions: List[int],
         residuals: Dict[int, Tuple[int, int, Dict[int, Tuple[TrialResult, int]]]],
         cube_index: int,
-    ) -> List[TrialResult]:
-        """Solvability trials for a cube's open positions, residual-cached.
+    ) -> List[Tuple[int, TrialResult]]:
+        """The solvable ``(position, trial)`` pairs among a cube's open positions.
 
-        The first scan of a cube within a seed reduces every position's
-        hardware equations against the committed basis in one batched numpy
-        pass.  Later scans re-try the cached *residual* rows, which only
-        pays for pivots committed since the previous scan -- and positions
-        whose residual support misses every newly committed pivot column
-        (or all of them, when the solver epoch has not advanced) are reused
-        without touching the solver at all.  Inconsistent positions never
-        recover within a seed, so their residuals (and open slots) are
-        dropped by the caller.
+        The first scan of a cube within a seed trial-solves every window
+        position in one batched call
+        (:meth:`~repro.gf2.solve.IncrementalSolver.try_positions_packed`).
+        Later scans re-try the cached *residual* rows, which only pays for
+        pivots committed since the previous scan -- and positions whose
+        residual support misses every newly committed pivot column (or all
+        of them, when the solver epoch has not advanced) are reused without
+        touching the solver at all.  Inconsistent positions never recover
+        within a seed, so they are dropped here: neither the cache nor the
+        returned pairs hold them.
         """
         cached = residuals.get(cube_index)
         if cached is not None and cached[0] == solver.epoch:
-            return [cached[2][position][0] for position in positions]
+            entries = cached[2]
+            return [(position, entries[position][0]) for position in positions]
         entries: Dict[int, Tuple[TrialResult, int]] = {}
         if cached is None:
             words, rows_each = self._equations.cube_position_words(cube)
@@ -346,43 +347,40 @@ class WindowEncoder:
                 trials = [
                     TrialResult(SolveOutcome.CONSISTENT, 0, []) for _ in positions
                 ]
-                entries = {
-                    position: (trial, 0)
-                    for position, trial in zip(positions, trials)
-                }
-                residuals[cube_index] = (solver.epoch, solver.pivot_mask, entries)
-                return trials
-            if len(positions) != self._equations.window_length:
-                rows = np.concatenate(
-                    [
-                        np.arange(p * rows_each, (p + 1) * rows_each)
-                        for p in positions
-                    ]
-                )
-                words = words[rows]
-            trials = solver.try_positions_packed(words, rows_each)
+            else:
+                if len(positions) != self._equations.window_length:
+                    rows = np.concatenate(
+                        [
+                            np.arange(p * rows_each, (p + 1) * rows_each)
+                            for p in positions
+                        ]
+                    )
+                    words = words[rows]
+                trials = solver.try_positions_packed(words, rows_each)
+            for position, trial in zip(positions, trials):
+                if trial.consistent:
+                    support = 0
+                    for row in trial.reduced_rows:
+                        support |= row
+                    entries[position] = (trial, support)
         else:
             # Only the pivot columns committed since the cached scan can
             # change a trial; a residual batch whose support misses all of
             # them would reduce to itself, so reuse the cached trial as-is.
             delta = solver.pivot_mask & ~cached[1]
             old_entries = cached[2]
-            trials = []
             for position in positions:
                 trial, support = old_entries[position]
                 if support & delta:
                     trial = solver.try_augmented(trial.reduced_rows)
-                else:
-                    entries[position] = (trial, support)
-                trials.append(trial)
-        for position, trial in zip(positions, trials):
-            if position not in entries and trial.consistent:
-                support = 0
-                for row in trial.reduced_rows:
-                    support |= row
+                    if not trial.consistent:
+                        continue
+                    support = 0
+                    for row in trial.reduced_rows:
+                        support |= row
                 entries[position] = (trial, support)
         residuals[cube_index] = (solver.epoch, solver.pivot_mask, entries)
-        return trials
+        return [(position, entry[0]) for position, entry in entries.items()]
 
     @staticmethod
     def _pick(candidates: List[_Candidate]) -> _Candidate:

@@ -600,7 +600,9 @@ register(
     Check(
         name="solver-batch",
         description="batched packed GF(2) solver trials vs reference scan",
-        space=dict(_ENCODING_SPACE),
+        # ``lfsr`` lifts the LFSR above the test set's floor (max specified
+        # + 8) and past 64 cells, so two-word augmented rows get fuzzed too.
+        space=dict(_ENCODING_SPACE, lfsr=(8, 80, 8)),
         run=_check_solver_batch,
     )
 )

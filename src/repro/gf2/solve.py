@@ -16,6 +16,14 @@ accepted equations in reduced row-echelon form (augmented with the right-hand
 side), offers a *trial* mode that evaluates a batch of equations without
 committing them, and can commit a previously evaluated batch in O(batch)
 row operations.
+
+Trying many candidate systems at once
+(:meth:`IncrementalSolver.try_positions_packed`) is vectorized over
+numpy-packed ``uint64`` rows: per-epoch Method of Four Russians byte tables
+eliminate the committed basis in one gather per byte (M4RI; Albrecht, Bard
+& Hart, ACM TOMS 37(1), 2010), a batched column-wise elimination yields a
+consistency mask for every candidate, and only the consistent candidates
+run the per-candidate elimination that produces their committable rows.
 """
 
 from __future__ import annotations
@@ -29,8 +37,24 @@ import numpy as np
 from repro.gf2.bitvec import BitVector
 
 #: Below this total row count the packed-``uint64`` batch path costs more
-#: than it saves and :meth:`IncrementalSolver.try_positions` falls back to
-#: the big-int loop (tuned with ``repro bench``).
+#: than it saves and :meth:`IncrementalSolver.try_positions_packed` falls
+#: back to the big-int loop.  Measured per call for the byte-table kernel
+#: (tables cached, 2-CPU x86 host, CPython 3.11, numpy 2.4) on the batches
+#: of 10 random 40-input/360-gate netlists through PODEM and encoding:
+#:
+#: ========  ==============  ================  =================
+#: window    rows per call   big-int loop      batched
+#: ========  ==============  ================  =================
+#: L=40      64-96           163 us            75 us
+#: L=40      384-512         357 us            105 us
+#: L=16      48-64           88 us             63 us
+#: L=8       48-64           48 us             58 us
+#: L=8       128-192         180 us            160 us
+#: ========  ==============  ================  =================
+#:
+#: L=40 (the ``atpg-flow`` benchmark) never calls with fewer than 80 rows;
+#: the crossover moves from ~48 rows (L=16) to ~128 rows (L=8), so 64
+#: stays.  The per-epoch table build (~55 us) is not in these numbers.
 _BATCH_MIN_ROWS = 64
 
 
@@ -74,6 +98,19 @@ def _pack_ints_to_words(rows: Sequence[int], num_words: int) -> np.ndarray:
     nbytes = num_words * 8
     buffer = b"".join(row.to_bytes(nbytes, "little") for row in rows)
     return np.frombuffer(buffer, dtype="<u8").reshape(len(rows), num_words).copy()
+
+
+def _pack_bit_rows(bits: np.ndarray, num_words: int) -> np.ndarray:
+    """Pack a ``(rows, columns)`` 0/1 array into ``(rows, num_words)`` uint64.
+
+    Column ``c`` becomes bit ``c % 64`` of word ``c // 64`` (the layout of
+    :func:`_pack_ints_to_words`); ``columns`` may be anything up to
+    ``64 * num_words``.
+    """
+    packed = np.zeros((bits.shape[0], num_words * 8), dtype=np.uint8)
+    data = np.packbits(bits, axis=1, bitorder="little")
+    packed[:, : data.shape[1]] = data
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
 
 def _words_to_ints(words: np.ndarray) -> List[int]:
@@ -133,11 +170,16 @@ class TrialResult:
 
     outcome: SolveOutcome
     new_pivots: int
-    reduced_rows: List[int] = field(default_factory=list)
+    reduced_rows: Sequence[int] = field(default_factory=list)
 
     @property
     def consistent(self) -> bool:
         return self.outcome is SolveOutcome.CONSISTENT
+
+
+#: The one result every inconsistent trial returns.  Nothing mutates it:
+#: :meth:`IncrementalSolver.commit` rejects it, and its row tuple is empty.
+_INCONSISTENT_TRIAL = TrialResult(SolveOutcome.INCONSISTENT, 0, ())
 
 
 class IncrementalSolver:
@@ -159,11 +201,11 @@ class IncrementalSolver:
         # invariant incrementally (back-substitution of each new pivot), so
         # the RREF basis is never recomputed from scratch.
         self._pivots: Dict[int, int] = {}
-        # Bumped on every state change; lets derived caches (the packed
-        # fully-reduced basis, callers' residual caches) know when to refresh.
+        # Bumped on every state change; lets derived caches (the byte
+        # tables, callers' residual caches) know when to refresh.
         self._epoch = 0
         self._pivot_mask = 0
-        self._packed_basis: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._tables: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -233,17 +275,6 @@ class IncrementalSolver:
             coeffs = aug & ~self._rhs_bit
         return aug
 
-    def _fully_reduced_rows(self) -> Dict[int, int]:
-        """Pivot rows with every *other* pivot column eliminated.
-
-        The stored basis *is* fully reduced (:meth:`commit` back-substitutes
-        every new pivot into the existing rows instead of leaving them
-        leading-bit reduced), so this is a constant-time accessor rather
-        than the per-epoch O(rank^2) RREF rebuild it used to be.  Treat the
-        returned mapping as read-only.
-        """
-        return self._pivots
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -278,7 +309,7 @@ class IncrementalSolver:
         for aug in aug_rows:
             aug = self._reduce(aug, extra)
             if aug == rhs_bit:
-                return TrialResult(SolveOutcome.INCONSISTENT, 0, [])
+                return _INCONSISTENT_TRIAL
             if aug == 0:
                 continue
             pivot = (aug & ~rhs_bit).bit_length() - 1
@@ -290,56 +321,77 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     # Batched trials (numpy-packed uint64 fast path)
     # ------------------------------------------------------------------
-    def _packed_full_basis(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The fully reduced basis as ``(pivot_columns, uint64 row blocks)``.
+    def _byte_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Method of Four Russians tables of the committed basis.
 
-        Cached per epoch; both arrays are treated as immutable by callers.
+        Returns ``(keep, tables)``.  ``keep`` lists the columns a residual
+        can still hold -- the free (non-pivot) columns in ascending order,
+        then the RHS column ``n`` -- and ``tables[b, v]`` is the
+        contribution of byte value ``v`` at byte ``b`` of an augmented row
+        to its residual, *compressed* to ``keep``: a pivot bit contributes
+        its basis row, a free or RHS bit contributes itself.  XORing one
+        entry per byte therefore eliminates every committed pivot column
+        and packs the residual into ``ceil(len(keep) / 64)`` words, which
+        is one word whenever at most 63 variables are still free.  Cached
+        per epoch; both arrays are treated as immutable by callers.
         """
-        cached = self._packed_basis
+        cached = self._tables
         if cached is not None and cached[0] == self._epoch:
             return cached[1], cached[2]
-        reduced = self._fully_reduced_rows()
-        pivot_cols = np.array(sorted(reduced), dtype=np.int64)
-        num_words = (self._n + 1 + 63) // 64
-        rows = _pack_ints_to_words([reduced[p] for p in sorted(reduced)], num_words)
-        self._packed_basis = (self._epoch, pivot_cols, rows)
-        return pivot_cols, rows
-
-    def try_positions(
-        self, position_rows: Sequence[Sequence[int]]
-    ) -> List[TrialResult]:
-        """Trial-evaluate many candidate systems against the same basis.
-
-        ``position_rows[v]`` is the augmented-row batch of candidate ``v``
-        (for the window encoder: one batch per window position of a cube).
-        Equivalent to ``[self.try_augmented(rows) for rows in position_rows]``
-        but runs the whole computation -- committed-basis reduction *and* the
-        per-candidate elimination -- as vectorized passes over numpy-packed
-        uint64 row blocks.  Tiny or ragged batches fall back to the big-int
-        path.
-        """
-        num_candidates = len(position_rows)
-        if num_candidates == 0:
-            return []
-        rows_each = len(position_rows[0])
-        if rows_each == 0 or any(len(rows) != rows_each for rows in position_rows):
-            return [self.try_augmented(rows) for rows in position_rows]
-        num_words = (self._n + 1 + 63) // 64
-        flat: List[int] = []
-        for rows in position_rows:
-            flat.extend(rows)
-        return self.try_positions_packed(
-            _pack_ints_to_words(flat, num_words), rows_each
+        n = self._n
+        num_bytes = (n + 8) // 8
+        pivots = sorted(self._pivots)
+        keep = np.array(
+            [c for c in range(n) if c not in self._pivots] + [n], dtype=np.intp
         )
+        # contributions[c] = compressed residual of the unit row at column c.
+        contributions = np.zeros((8 * num_bytes, len(keep)), dtype=np.uint8)
+        contributions[keep, np.arange(len(keep))] = 1
+        if pivots:
+            basis = _pack_ints_to_words([self._pivots[p] for p in pivots], 1 + n // 64)
+            bits = np.unpackbits(
+                basis.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
+            )
+            contributions[pivots] = bits[:, keep]
+        compressed_words = (len(keep) + 63) // 64
+        per_bit = _pack_bit_rows(contributions, compressed_words).reshape(
+            num_bytes, 8, compressed_words
+        )
+        # Doubling build: the entries with bit k set are the entries below
+        # 1 << k XORed with bit k's contribution.
+        tables = np.zeros((num_bytes, 256, compressed_words), dtype=np.uint64)
+        for k in range(8):
+            tables[:, 1 << k : 2 << k] = tables[:, : 1 << k] ^ per_bit[:, k, None, :]
+        self._tables = (self._epoch, keep, tables)
+        return keep, tables
 
     def try_positions_packed(
         self, words: np.ndarray, rows_each: int
     ) -> List[TrialResult]:
-        """:meth:`try_positions` on pre-packed uint64 row blocks.
+        """Trial-evaluate many candidate systems against the same basis.
 
-        ``words`` holds the augmented rows of all candidates, ``rows_each``
-        consecutive rows per candidate; the array is not modified (callers
-        cache it across seeds -- see
+        ``words`` holds the augmented rows of all candidates as a
+        ``(candidates * rows_each, num_words)`` uint64 block, ``rows_each``
+        consecutive rows per candidate (for the window encoder: one batch
+        per window position of a cube).  Equivalent to
+        ``[self.try_augmented(rows) for rows in candidate_rows]`` in
+        outcome and pivot count, but runs as three vectorized steps:
+
+        1. *Basis elimination.*  The committed basis is fully reduced (each
+           pivot column appears in exactly one basis row), so which basis
+           rows a row needs is read straight off the input row: one gather
+           per byte from :meth:`_byte_tables` zeroes every pivot column and
+           leaves the residual compressed to the free and RHS columns.
+        2. *Consistency.*  A column-wise elimination over the residuals'
+           union support, batched across all candidates on a
+           ``(candidates, rows_each, words)`` array, leaves each row either
+           zero or exactly the RHS bit; a candidate is consistent when none
+           is the RHS bit.
+        3. *Results.*  Only consistent candidates run the per-candidate
+           elimination that yields their ``reduced_rows``; every
+           inconsistent one shares one immutable result.
+
+        The array is not modified (callers cache it across seeds -- see
         :meth:`repro.encoding.equations.EquationSystem.cube_position_words`).
         """
         total_rows = words.shape[0]
@@ -357,32 +409,54 @@ class IncrementalSolver:
             ]
         SOLVER_STATS.batches += 1
         SOLVER_STATS.trials += num_candidates
-        words = words.copy()
 
-        # Pass 1: eliminate every committed pivot column.  The basis is kept
-        # fully reduced (each pivot column appears in exactly one basis row),
-        # so the eliminations are independent and order does not matter; the
-        # result is the canonical residual with *all* pivot columns zeroed.
-        if self._pivots:
-            pivot_cols, basis = self._packed_full_basis()
-            word_index = pivot_cols >> 6
-            bit_offset = (pivot_cols & 63).astype(np.uint64)
-            for j in range(len(pivot_cols)):
-                selected = (words[:, word_index[j]] >> bit_offset[j]) & np.uint64(1)
-                words ^= selected[:, None] * basis[j]
-        reduced_flat = _words_to_ints(words)
+        # Pass 1: basis elimination and compression through the byte tables.
+        keep, tables = self._byte_tables()
+        selectors = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+        residual = tables[0][selectors[:, 0]]
+        for b in range(1, len(tables)):
+            residual ^= tables[b][selectors[:, b]]
+        residual = residual.reshape(num_candidates, rows_each, -1)
 
-        # Pass 2: per-candidate elimination on the residuals.  Committed
-        # pivot columns are gone, so only the candidate's own (few) batch
-        # pivots participate; the loop is ``try_augmented`` inlined to skip
-        # the per-row call overhead, which dominates at this batch size.
-        rhs_bit = self._rhs_bit
-        not_rhs = ~rhs_bit
-        results: List[TrialResult] = []
+        # Pass 2: batched consistency on the candidates not already refuted
+        # by a residual "0 = 1" row.  Eliminating column c with the first
+        # row that holds it XORs that row into every row holding c --
+        # itself included, so the pivot row drops out, which is sound: its
+        # own variable c can always absorb it.
+        rhs_word, rhs_shift = divmod(len(keep) - 1, 64)
+        rhs = np.zeros(residual.shape[2], dtype=np.uint64)
+        rhs[rhs_word] = np.uint64(1) << np.uint64(rhs_shift)
+        unrefuted = np.flatnonzero(~(residual == rhs).all(axis=2).any(axis=1))
+        work = residual[unrefuted]
+        support = np.bitwise_or.reduce(work.reshape(-1, len(rhs)), axis=0) & ~rhs
+        rows = np.arange(len(unrefuted))
+        one = np.uint64(1)
+        for word, bits in enumerate(support.tolist()):
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                holds = (work[:, :, word] >> np.uint64(low.bit_length() - 1)) & one
+                pivot_rows = work[rows, holds.argmax(axis=1)]
+                work ^= holds[:, :, None] * pivot_rows[:, None, :]
+        chosen = unrefuted[~(work[:, :, rhs_word] & rhs[rhs_word]).any(axis=1)]
+
+        # Results: the per-candidate elimination runs on the consistent
+        # candidates only, over their pass-1 residuals expanded back to full
+        # augmented rows.  Committed pivot columns are gone, so only the
+        # candidate's own (few) batch pivots participate; the loop is
+        # ``try_augmented`` inlined to skip the per-row call overhead.
+        results: List[TrialResult] = [_INCONSISTENT_TRIAL] * num_candidates
+        if not len(chosen):
+            return results
+        compressed = residual[chosen].reshape(-1, len(rhs)).astype("<u8", copy=False)
+        bits = np.unpackbits(compressed.view(np.uint8), axis=1, bitorder="little")
+        full = np.zeros((len(compressed), words.shape[1] * 64), dtype=np.uint8)
+        full[:, keep] = bits[:, : len(keep)]
+        reduced_flat = _words_to_ints(_pack_bit_rows(full, words.shape[1]))
+        not_rhs = ~self._rhs_bit
         base = 0
-        for _ in range(num_candidates):
+        for index in chosen.tolist():
             extra: Dict[int, int] = {}
-            consistent = True
             for aug in reduced_flat[base : base + rows_each]:
                 coeffs = aug & not_rhs
                 while coeffs:
@@ -393,18 +467,10 @@ class IncrementalSolver:
                     coeffs = aug & not_rhs
                 if coeffs:
                     extra[coeffs.bit_length() - 1] = aug
-                elif aug:
-                    consistent = False
-                    break
             base += rows_each
-            if consistent:
-                results.append(
-                    TrialResult(
-                        SolveOutcome.CONSISTENT, len(extra), list(extra.values())
-                    )
-                )
-            else:
-                results.append(TrialResult(SolveOutcome.INCONSISTENT, 0, []))
+            results[index] = TrialResult(
+                SolveOutcome.CONSISTENT, len(extra), list(extra.values())
+            )
         return results
 
     def commit(self, trial: TrialResult) -> None:
@@ -418,8 +484,7 @@ class IncrementalSolver:
         pivot column eliminated) and back-substituted into the existing
         basis rows, so the RREF invariant of ``_pivots`` is maintained
         incrementally -- O(rank) big-int XORs per new pivot instead of the
-        O(rank^2) per-epoch rebuild the packed basis and
-        :meth:`solution` used to pay.
+        O(rank^2) per-epoch rebuild :meth:`solution` used to pay.
         """
         if not trial.consistent:
             raise ValueError("cannot commit an inconsistent trial")
@@ -481,7 +546,7 @@ class IncrementalSolver:
         # Assign pivot variables.  Each fully reduced row references only its
         # own pivot and free columns, so the already-assigned free values
         # determine the pivot bit directly.
-        for pivot, row in self._fully_reduced_rows().items():
+        for pivot, row in self._pivots.items():
             rhs = 1 if row & self._rhs_bit else 0
             rest = row & ~self._rhs_bit & ~(1 << pivot)
             acc = rhs ^ ((rest & value).bit_count() & 1)

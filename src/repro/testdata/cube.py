@@ -17,6 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 
+#: ``to_string`` characters indexed by ``(care << 1) | value``.
+_CUBE_CHARS = np.frombuffer(b"XX01", dtype=np.uint8)
+
+
 class TestCube:
     """A partially specified test vector over ``num_cells`` positions."""
 
@@ -252,10 +256,14 @@ class TestCube:
 
     def to_string(self) -> str:
         """Cube as a string of ``0``/``1``/``X`` characters (cell 0 first)."""
-        chars = []
-        for i in range(self._num_cells):
-            if (self._care_mask >> i) & 1:
-                chars.append("1" if (self._care_value >> i) & 1 else "0")
-            else:
-                chars.append("X")
-        return "".join(chars)
+        nbytes = (self._num_cells + 7) // 8
+        care, value = (
+            np.unpackbits(
+                np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8),
+                count=self._num_cells,
+                bitorder="little",
+            )
+            for bits in (self._care_mask, self._care_value)
+        )
+        # Code 0 = don't-care, 2 = care 0, 3 = care 1 (values lie in the mask).
+        return _CUBE_CHARS[(care << 1) | value].tobytes().decode("ascii")

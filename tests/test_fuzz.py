@@ -24,7 +24,7 @@ from repro.fuzz import (
     shrink_case,
     write_repro,
 )
-from repro.fuzz.generators import case_netlist, case_test_set, draw_params
+from repro.fuzz.generators import case_config, case_netlist, case_test_set, draw_params
 from repro.fuzz.shrink import ShrinkResult
 
 
@@ -121,6 +121,23 @@ class TestChecksPassOnHead:
         check = CHECKS[name]
         outcome = run_case(check, check.draw(random_mod.Random(0)))
         assert outcome.status == "ok", outcome.detail
+
+
+def test_solver_batch_fuzzes_two_word_rows():
+    """The ``lfsr`` axis reaches LFSRs whose augmented rows span two words."""
+    check = CHECKS["solver-batch"]
+    assert check.space["lfsr"][1] > 64
+    case = FuzzCase(
+        check="solver-batch",
+        seed=3,
+        params={
+            "num_cells": 48, "num_cubes": 10, "max_specified": 8,
+            "chains": 4, "window": 24, "segment": 4, "speedup": 4, "lfsr": 72,
+        },
+    )
+    assert case_config(case, case_test_set(case)).lfsr_size == 72
+    outcome = run_case(check, case)
+    assert outcome.status == "ok", outcome.detail
 
 
 class TestChaosChecks:

@@ -10,13 +10,21 @@ paths produce bit-identical results, not merely statistically similar ones.
 
 import random
 
+import pytest
 
 from repro.circuits.atpg import generate_test_set_for_netlist
 from repro.circuits.fault_sim import FaultSimulator
 from repro.circuits.generator import random_netlist
 from repro.circuits.library import carry_ripple_adder, parity_tree
 from repro.encoding.encoder import ReseedingEncoder
-from repro.gf2.solve import Equation, IncrementalSolver
+from repro.gf2.solve import (
+    _BATCH_MIN_ROWS,
+    _INCONSISTENT_TRIAL,
+    SOLVER_STATS,
+    Equation,
+    IncrementalSolver,
+    _pack_ints_to_words,
+)
 from repro.testdata.profiles import get_profile
 from repro.testdata.synthetic import generate_test_set
 
@@ -115,35 +123,158 @@ def test_faultsim_input_and_gate_faults_match_on_builtin():
 # ----------------------------------------------------------------------
 # Solver: batched position trials vs sequential trials
 # ----------------------------------------------------------------------
+def _try_positions(solver, batches):
+    """Pack equal-length augmented-row batches and trial them in one call."""
+    rows_each = len(batches[0])
+    flat = [row for rows in batches for row in rows]
+    words = _pack_ints_to_words(flat, (solver.num_variables + 64) // 64)
+    return solver.try_positions_packed(words, rows_each)
+
+
+def _assert_matches_sequential(solver, batches):
+    sequential = [solver.try_augmented(rows) for rows in batches]
+    batched = _try_positions(solver, batches)
+    assert len(batched) == len(sequential)
+    for seq, bat in zip(sequential, batched):
+        assert seq.outcome == bat.outcome
+        if seq.consistent:
+            assert seq.new_pivots == bat.new_pivots
+            # Committing either trial must leave identical solver state.
+            left, right = solver.copy(), solver.copy()
+            left.commit(seq)
+            right.commit(bat)
+            assert left.pivot_columns() == right.pivot_columns()
+            assert left.solution().value == right.solution().value
+    return batched
+
+
+def _random_solver(rng, n, rank=None):
+    solver = IncrementalSolver(n)
+    solver.add_equations(
+        Equation(rng.getrandbits(n), rng.getrandbits(1))
+        for _ in range(rng.randint(0, n) if rank is None else rank)
+    )
+    return solver
+
+
+def _random_batches(rng, n, rows_each, count):
+    return [
+        [
+            rng.getrandbits(n) | ((1 << n) if rng.getrandbits(1) else 0)
+            for _ in range(rows_each)
+        ]
+        for _ in range(count)
+    ]
+
+
 def test_try_positions_matches_sequential_trials():
     rng = random.Random(77)
     for _ in range(40):
         n = rng.randint(2, 130)
-        solver = IncrementalSolver(n)
-        solver.add_equations(
-            Equation(rng.getrandbits(n), rng.getrandbits(1))
-            for _ in range(rng.randint(0, n))
-        )
+        solver = _random_solver(rng, n)
         rows_each = rng.randint(1, 10)
+        batches = _random_batches(rng, n, rows_each, rng.randint(1, 20))
+        _assert_matches_sequential(solver, batches)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128])
+def test_try_positions_word_boundaries(n):
+    """The RHS bit on the last bit of a word, or opening a new word."""
+    rng = random.Random(n)
+    for _ in range(12):
+        solver = _random_solver(rng, n)
+        rows_each = rng.randint(1, 12)
+        count = _BATCH_MIN_ROWS // rows_each + rng.randint(1, 8)
+        # Sparse rows keep a mix of consistent and inconsistent candidates.
         batches = [
             [
-                rng.getrandbits(n) | ((1 << n) if rng.getrandbits(1) else 0)
+                (rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n))
+                | ((1 << n) if rng.getrandbits(1) else 0)
                 for _ in range(rows_each)
             ]
-            for _ in range(rng.randint(1, 20))
+            for _ in range(count)
         ]
-        sequential = [solver.try_augmented(rows) for rows in batches]
-        batched = solver.try_positions(batches)
-        for seq, bat in zip(sequential, batched):
-            assert seq.outcome == bat.outcome
-            if seq.consistent:
-                assert seq.new_pivots == bat.new_pivots
-                # Committing either trial must leave identical solver state.
-                left, right = solver.copy(), solver.copy()
-                left.commit(seq)
-                right.commit(bat)
-                assert left.pivot_columns() == right.pivot_columns()
-                assert left.solution().value == right.solution().value
+        _assert_matches_sequential(solver, batches)
+    # Rows confined to the upper half of the columns: with no pivots there,
+    # their residuals live in the second word whenever n > 64.
+    upper = ((1 << n) - 1) ^ ((1 << (n // 2)) - 1)
+    for solver in (IncrementalSolver(n), _random_solver(rng, n, rank=n // 4)):
+        batches = [
+            [
+                (rng.getrandbits(n) & rng.getrandbits(n) & upper)
+                | ((1 << n) if rng.getrandbits(1) else 0)
+                for _ in range(6)
+            ]
+            for _ in range(_BATCH_MIN_ROWS)
+        ]
+        _assert_matches_sequential(solver, batches)
+
+
+def test_try_positions_batched_path_is_taken_and_counted():
+    """Batches of at least ``_BATCH_MIN_ROWS`` rows add one trial each."""
+    rng = random.Random(5)
+    for n in (20, 70):
+        solver = _random_solver(rng, n, rank=n // 2)
+        for rows_each in (1, 3, 8):
+            count = -(-_BATCH_MIN_ROWS // rows_each) + rng.randint(0, 5)
+            assert count * rows_each >= _BATCH_MIN_ROWS
+            batches = _random_batches(rng, n, rows_each, count)
+            trials_before = SOLVER_STATS.trials
+            batches_before = SOLVER_STATS.batches
+            _try_positions(solver, batches)
+            assert SOLVER_STATS.trials - trials_before == count
+            assert SOLVER_STATS.batches - batches_before == 1
+            _assert_matches_sequential(solver, batches)
+
+
+def test_try_positions_all_inconsistent_batch():
+    n = 40
+    solver = IncrementalSolver(n)
+    solver.add_equations([Equation(0b1011, 1), Equation(1 << 30, 0)])
+    # Every candidate repeats a committed equation with the other RHS.
+    conflict = 0b1011  # RHS 0 against the committed RHS 1
+    batches = [[1 << 30 | (1 << n), 1 << 5] for _ in range(_BATCH_MIN_ROWS)]
+    batches += [[1 << 7, conflict] for _ in range(_BATCH_MIN_ROWS)]
+    batched = _assert_matches_sequential(solver, batches)
+    assert not any(trial.consistent for trial in batched)
+
+
+def test_try_positions_empty_basis():
+    rng = random.Random(11)
+    for n in (9, 64, 100):
+        solver = IncrementalSolver(n)
+        batches = _random_batches(rng, n, 4, _BATCH_MIN_ROWS)
+        # Two copies of a row with opposite RHS can never be consistent.
+        batches.append([1 << 3, (1 << 3) | (1 << n), 0, 0])
+        batched = _assert_matches_sequential(solver, batches)
+        assert not batched[-1].consistent
+
+
+def test_try_positions_single_row_candidates():
+    rng = random.Random(3)
+    for n in (12, 65):
+        solver = _random_solver(rng, n, rank=n // 3)
+        batches = _random_batches(rng, n, 1, 2 * _BATCH_MIN_ROWS)
+        # Degenerate rows: "0 = 1" and "0 = 0".
+        batches += [[1 << n], [0]]
+        batched = _assert_matches_sequential(solver, batches)
+        assert not batched[-2].consistent
+        assert batched[-1].consistent and batched[-1].new_pivots == 0
+
+
+def test_commit_rejects_shared_inconsistent_result():
+    n = 10
+    solver = IncrementalSolver(n)
+    solver.add_equations([Equation(0b11, 1)])
+    batched = _try_positions(solver, [[0b11]] * _BATCH_MIN_ROWS)
+    assert all(trial is _INCONSISTENT_TRIAL for trial in batched)
+    assert solver.try_augmented([0b11]) is _INCONSISTENT_TRIAL
+    epoch, pivots = solver.epoch, solver.pivot_columns()
+    with pytest.raises(ValueError, match="inconsistent"):
+        solver.commit(_INCONSISTENT_TRIAL)
+    assert (solver.epoch, solver.pivot_columns()) == (epoch, pivots)
+    assert _INCONSISTENT_TRIAL.reduced_rows == ()
+    assert _INCONSISTENT_TRIAL.new_pivots == 0
 
 
 def test_solver_epoch_and_pivot_mask_track_commits():

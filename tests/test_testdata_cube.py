@@ -1,5 +1,7 @@
 """Tests for test cubes."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -171,3 +173,32 @@ def test_compatibility_symmetric(a_text, b_text):
     a = TestCube.from_string(a_text[:n])
     b = TestCube.from_string(b_text[:n])
     assert a.compatible(b) == b.compatible(a)
+
+
+def _to_string_reference(cube):
+    """Cell-by-cell rendering that ``TestCube.to_string`` must match."""
+    chars = []
+    for i in range(cube.num_cells):
+        if (cube.care_mask >> i) & 1:
+            chars.append("1" if (cube.care_value >> i) & 1 else "0")
+        else:
+            chars.append("X")
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 1464])
+def test_to_string_matches_cell_by_cell_reference(width):
+    rng = random.Random(width)
+    cubes = [
+        TestCube(width, 0, 0),
+        TestCube(width, (1 << width) - 1, 0),
+        TestCube(width, (1 << width) - 1, (1 << width) - 1),
+        TestCube(width, 1 << (width - 1), 1 << (width - 1)),
+    ]
+    for density in (0.02, 0.5, 0.98):
+        mask = sum(1 << i for i in range(width) if rng.random() < density)
+        cubes.append(TestCube(width, mask, rng.getrandbits(width)))
+    for cube in cubes:
+        text = cube.to_string()
+        assert text == _to_string_reference(cube)
+        assert TestCube.from_string(text) == cube
