@@ -562,12 +562,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
         if regressions:
             print(f"REGRESSION vs baseline in {args.baseline} "
-                  f"(threshold {args.max_regression:.1f}x):")
+                  f"(threshold {args.max_regression:g}x):")
             for regression in regressions:
                 print(f"  {regression}")
             return 1
         print(f"no regression vs baseline in {args.baseline} "
-              f"(threshold {args.max_regression:.1f}x)")
+              f"(threshold {args.max_regression:g}x)")
     return 0
 
 

@@ -21,11 +21,18 @@ the whole flow.
 
 Two datapath models replay the schedule:
 
-* the **batched** model (default) advances the LFSR and applies the phase
-  shifter a whole segment at a time: the segment's register states come from
-  a doubling ladder of GF(2) matmuls, all phase-shifter outputs of the
-  segment are one BLAS product, and captured vectors / scan-chain contents
-  are numpy gathers -- this is what makes ``simulate`` usable inside large
+* the **segment-level** model (default) records the schedule during the
+  controller's walk and then replays it with all seeds in lockstep by
+  segment index.  The register jumps a whole segment per step through a
+  cached GF(2) jump matrix: ``A^(v*r)`` across a useful segment of ``v``
+  vectors, ``A^rem K^skip`` across a useless one, where ``K`` is the State
+  Skip circuit's own matrix -- so the skip circuit is exercised, not
+  assumed.  No register state inside a useless segment is ever built.  The
+  start states of all useful segments of one length step through their
+  vectors by ``A^r`` in one product per vector, and every captured vector
+  of the run comes from a single (chunked) GEMM of those load states with
+  the per-cell linear forms ``P[c mod C] A^(r-1-depth(c))``, packed by
+  ``packbits`` -- this is what makes ``simulate`` usable inside large
   campaigns;
 * ``engine="reference"`` (or the deprecated ``batched=False``) selects the
   original clock-by-clock reference (:meth:`Decompressor.shift_clock` per
@@ -36,7 +43,7 @@ Two datapath models replay the schedule:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -144,144 +151,233 @@ class Decompressor:
         self._lfsr.set_mode(mode)
 
 
-#: Shared doubling ladders ``[M, M^2, M^4, ...]`` keyed by mode-matrix
-#: content -- effectively the substrate identity (a
-#: :class:`~repro.encoding.substrate.SubstrateKey` fixes the transition
-#: matrix; the skip parameter ``k`` fixes the skip-circuit matrix).  The
-#: lists are mutable and shared: :meth:`_BatchedDatapath.run` extends its
-#: ladder in place, so later :func:`simulate_decompression` calls over the
-#: same substrate start from every power already computed instead of
-#: rebuilding the ladder per call.  Bounded LRU.
-_POWERS_CACHE_SIZE = 8
-_POWERS_CACHE: LRUCache = LRUCache(_POWERS_CACHE_SIZE)
+def _gf2_bits(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """GF(2) product of two float32 0/1 matrices as uint8 0/1.
+
+    The float32 BLAS product counts ones exactly (every count is at most
+    the inner dimension, far below 2**24); the parity of the count is
+    the GF(2) entry.  (An integer cast and ``& 1`` vectorize; ``np.fmod``
+    on floats does not, and ``packbits`` is ~10x faster on bytes than on
+    int32.)
+    """
+    counts = (left @ right).astype(np.int32)
+    counts &= 1
+    return counts.astype(np.uint8)
 
 
-def _mode_ladder(matrix: GF2Matrix) -> List[np.ndarray]:
-    """The shared, extend-in-place doubling ladder of one mode matrix."""
+def _gf2_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """GF(2) product of two float32 0/1 matrices, as float32 0/1."""
+    return _gf2_bits(left, right).astype(np.float32)
+
+
+def _gf2_power(matrix: np.ndarray, exponent: int) -> np.ndarray:
+    """``matrix ** exponent`` over GF(2) by square-and-multiply."""
+    result = np.eye(matrix.shape[0], dtype=np.float32)
+    base = matrix
+    while exponent:
+        if exponent & 1:
+            result = _gf2_product(result, base)
+        exponent >>= 1
+        if exponent:
+            base = _gf2_product(base, base)
+    return result
+
+
+def _as_float(matrix: GF2Matrix) -> np.ndarray:
+    """Dense float32 0/1 copy of a GF(2) matrix (a BLAS operand)."""
     from repro.encoding.equations import _matrix_to_numpy
 
-    key = (
-        tuple(matrix.row_mask(i) for i in range(matrix.nrows)),
-        matrix.ncols,
-    )
-    ladder = _POWERS_CACHE.get(key)
-    if ladder is None:
-        ladder = [_matrix_to_numpy(matrix).astype(np.float32)]
-        _POWERS_CACHE.put(key, ladder)
-    return ladder
+    return _matrix_to_numpy(matrix).astype(np.float32)
 
 
-class _BatchedDatapath:
-    """Segment-batched numpy model of the State Skip datapath.
+#: Cross-call caches of the replay matrices, keyed by matrix content (the
+#: transition and skip-circuit matrices, the phase shifter and the scan
+#: geometry), so an (S, k) sweep over one substrate builds each matrix
+#: once.  Jumps are ``n x n``; the capture rows of one substrate are
+#: ``num_cells x n`` and shared by every ``(S, k)``.  Bounded LRUs.
+_JUMP_CACHE_SIZE = 256
+_JUMP_CACHE: LRUCache = LRUCache(_JUMP_CACHE_SIZE)
+_CAPTURE_CACHE_SIZE = 8
+_CAPTURE_CACHE: LRUCache = LRUCache(_CAPTURE_CACHE_SIZE)
 
-    Bit-exact with per-clock operation of :class:`Decompressor`: the LFSR
-    states of a run are built by a doubling ladder of GF(2) matrix products
-    (``[s, Ms, M^2 s, ...]`` doubles with one matmul per step), the phase
-    shifter is applied to the whole run in a single BLAS product, and the
-    scan-chain shift registers / captured vectors are reconstructed from
-    the output matrix by pure indexing.
+#: Largest ``vectors x cells`` block one capture GEMM produces.
+_CAPTURE_BLOCK_ELEMENTS = 1 << 20
+
+
+class _SegmentDatapath:
+    """Segment-level numpy model of the State Skip datapath.
+
+    The controller records the schedule seed by seed and segment by
+    segment; :meth:`replay` then runs it with every seed in lockstep by
+    segment index.  Between segments the register advances by one GF(2)
+    jump matrix per plan signature: ``A^(v*r)`` after a useful segment of
+    ``v`` vectors, ``A^rem K^skip`` after a useless one, where ``K`` is
+    the State Skip circuit's own matrix (never ``A^(S*r)``, so the replay
+    still checks the skip circuit).  The start states of all useful
+    segments of one length then step through their ``v`` vectors by
+    ``A^r`` together.  Every captured vector is a linear function of the
+    register state when its ``r``-clock load begins: cell ``c`` is the
+    phase-shifter output that entered chain ``c mod C`` on load clock
+    ``r - 1 - depth(c)``, i.e. ``P[c mod C] A^(r-1-depth(c))`` (the
+    *capture rows*).  One GEMM of all vector start states, in
+    application order, with the capture rows gives every vector, which
+    ``packbits`` packs.  Bit-exact with per-clock operation of
+    :class:`Decompressor`; the scan-chain contents need no model because
+    every captured vector is shifted in by its own ``r`` clocks.
     """
 
     def __init__(self, decompressor: Decompressor):
-        from repro.encoding.equations import _matrix_to_numpy
-
         arch = decompressor.architecture
-        transition = decompressor.lfsr.transition
-        self._n = transition.ncols
-        self._chain_length = arch.chain_length
+        self._transition = decompressor.lfsr.transition
+        self._skip = decompressor.lfsr.skip_circuit.matrix
+        self._phase = decompressor.phase_shifter.matrix
+        self._num_cells = arch.num_cells
         self._num_chains = arch.num_chains
-        # Mode matrices (float32 0/1 for the exact BLAS-backed products)
-        # and their doubling ladders M^(2^i), extended on demand.  The
-        # ladders come from (and stay in) the shared substrate-keyed
-        # cache, so a fresh datapath per simulate_decompression call no
-        # longer recomputes powers an earlier call already built.
-        self._powers = {
-            "normal": _mode_ladder(transition),
-            "skip": _mode_ladder(decompressor.lfsr.skip_circuit.matrix),
-        }
-        self._phase = _matrix_to_numpy(decompressor.phase_shifter.matrix)[
-            : self._num_chains
-        ].astype(np.float32)
-        # Scan-chain registers: [j, d] = value at depth d of chain j.
-        self._chains = np.zeros(
-            (self._num_chains, self._chain_length), dtype=np.uint8
-        )
-        self._state = np.zeros((self._n, 1), dtype=np.float32)
-        cells = np.arange(arch.num_cells)
-        self._cell_chain = cells % self._num_chains
-        self._cell_depth = cells // self._num_chains
+        self._chain_length = arch.chain_length
+        self._seeds: List[BitVector] = []
+        # Per segment index: {(normal clocks, skip clocks): seed positions}.
+        self._steps: List[Dict[Tuple[int, int], List[int]]] = []
+        # Per segment index: {vectors: [(seed position, output offset)]}.
+        self._captures: List[Dict[int, List[Tuple[int, int]]]] = []
+        self._segment = 0
+        self._num_vectors = 0
 
     def load_seed(self, seed: BitVector) -> None:
-        col = np.zeros((self._n, 1), dtype=np.float32)
-        for index in seed.support():
-            col[index, 0] = 1.0
-        self._state = col
+        self._seeds.append(seed)
+        self._segment = 0
 
-    @staticmethod
-    def _gf2(counts: np.ndarray) -> np.ndarray:
-        return (counts.astype(np.uint32) & 1).astype(np.float32)
+    def _slot(
+        self,
+    ) -> Tuple[Dict[Tuple[int, int], List[int]], Dict[int, List[Tuple[int, int]]]]:
+        """The (steps, captures) records of the current segment index."""
+        if self._segment == len(self._steps):
+            self._steps.append({})
+            self._captures.append({})
+        return self._steps[self._segment], self._captures[self._segment]
 
-    def run(self, clocks: int, mode: str) -> np.ndarray:
-        """Advance ``clocks`` cycles in ``mode``; returns the outputs.
+    def useful(self, vectors: int) -> None:
+        """A Normal-mode segment capturing ``vectors`` test vectors."""
+        steps, captures = self._slot()
+        position = len(self._seeds) - 1
+        captures.setdefault(vectors, []).append((position, self._num_vectors))
+        steps.setdefault((vectors * self._chain_length, 0), []).append(position)
+        self._num_vectors += vectors
+        self._segment += 1
 
-        The returned ``(num_chains, clocks)`` uint8 matrix holds the
-        phase-shifter output of every cycle (column ``t`` is what entered
-        the chains on cycle ``t``); the register state and the chain
-        contents are updated exactly as ``clocks`` calls of
-        :meth:`Decompressor.shift_clock` would leave them.
-        """
-        if clocks == 0:
-            return np.zeros((self._num_chains, 0), dtype=np.uint8)
-        powers = self._powers[mode]
-        cols = self._state
-        level = 0
-        while cols.shape[1] < clocks + 1:
-            while len(powers) <= level:
-                doubled = powers[-1] @ powers[-1]
-                powers.append(self._gf2(doubled))
-            cols = np.concatenate([cols, self._gf2(powers[level] @ cols)], axis=1)
-            level += 1
-        outputs = self._gf2(self._phase @ cols[:, :clocks]).astype(np.uint8)
-        self._state = cols[:, clocks : clocks + 1]
-        r = self._chain_length
-        if clocks >= r:
-            self._chains = outputs[:, clocks - r : clocks][:, ::-1]
-        else:
-            self._chains = np.concatenate(
-                [outputs[:, ::-1], self._chains[:, : r - clocks]], axis=1
-            )
-        return outputs
-
-    def captured_vectors(
-        self, outputs: np.ndarray, num_vectors: int
-    ) -> List[int]:
-        """The packed test vectors captured after each ``r``-clock load."""
-        r = self._chain_length
-        offsets = (
-            (np.arange(1, num_vectors + 1) * r)[:, None]
-            - 1
-            - self._cell_depth[None, :]
+    def useless(self, skip_clocks: int, normal_clocks: int) -> None:
+        """A State Skip segment: skip clocks, then the normal remainder."""
+        steps, _ = self._slot()
+        steps.setdefault((normal_clocks, skip_clocks), []).append(
+            len(self._seeds) - 1
         )
-        bits = outputs[self._cell_chain[None, :], offsets]
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        return [
-            int.from_bytes(packed[i].tobytes(), "little")
-            for i in range(num_vectors)
-        ]
+        self._segment += 1
+
+    # ------------------------------------------------------------------
+    # Replay
+    # ------------------------------------------------------------------
+    def _jump(self, normal_clocks: int, skip_clocks: int) -> np.ndarray:
+        """Right multiplier ``(A^normal K^skip)^T`` of a row of states."""
+        key = (
+            self._transition,
+            self._skip if skip_clocks else None,
+            normal_clocks,
+            skip_clocks,
+        )
+        jump = _JUMP_CACHE.get(key)
+        if jump is None:
+            forward = _gf2_power(_as_float(self._transition), normal_clocks)
+            if skip_clocks:
+                forward = _gf2_product(
+                    forward, _gf2_power(_as_float(self._skip), skip_clocks)
+                )
+            jump = np.ascontiguousarray(forward.T)
+            _JUMP_CACHE.put(key, jump)
+        return jump
+
+    def _capture_rows(self) -> np.ndarray:
+        """Row ``c`` dotted with a load's start state is cell ``c``."""
+        key = (self._transition, self._phase, self._num_cells, self._num_chains)
+        rows = _CAPTURE_CACHE.get(key)
+        if rows is None:
+            r, chains = self._chain_length, self._num_chains
+            # forms[t * chains + j]: chain j's input on clock t, P[j] A^t.
+            forms = _as_float(self._phase)[:chains]
+            power = _as_float(self._transition)
+            while forms.shape[0] < r * chains:
+                forms = np.concatenate([forms, _gf2_product(forms, power)])
+                power = _gf2_product(power, power)
+            cells = np.arange(self._num_cells)
+            clocks = r - 1 - cells // chains
+            rows = forms[clocks * chains + cells % chains]
+            _CAPTURE_CACHE.put(key, rows)
+        return rows
+
+    def _captured_vectors(self, loads: np.ndarray) -> List[int]:
+        """The packed vectors whose loads start from the given states."""
+        rows = self._capture_rows()
+        nbytes = (self._num_cells + 7) // 8
+        block = max(1, _CAPTURE_BLOCK_ELEMENTS // self._num_cells)
+        out: List[int] = []
+        for first in range(0, loads.shape[0], block):
+            bits = _gf2_bits(loads[first : first + block], rows.T)
+            packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
+            out.extend(
+                int.from_bytes(packed[i : i + nbytes], "little")
+                for i in range(0, len(packed), nbytes)
+            )
+        return out
+
+    def replay(self) -> List[int]:
+        """Run the recorded schedule; the captured vectors in order."""
+        n = self._transition.ncols
+        nbytes = (n + 7) // 8
+        buffer = b"".join(seed.value.to_bytes(nbytes, "little") for seed in self._seeds)
+        states = np.unpackbits(
+            np.frombuffer(buffer, dtype=np.uint8).reshape(len(self._seeds), nbytes),
+            axis=1,
+            bitorder="little",
+        )[:, :n].astype(np.float32)
+        starts: Dict[int, List[np.ndarray]] = {}
+        offsets: Dict[int, List[int]] = {}
+        jumps: Dict[Tuple[int, int], np.ndarray] = {}
+        for steps, captures in zip(self._steps, self._captures):
+            for vectors, entries in captures.items():
+                positions = [position for position, _ in entries]
+                starts.setdefault(vectors, []).append(states[positions])
+                offsets.setdefault(vectors, []).extend(
+                    offset for _, offset in entries
+                )
+            for signature, positions in steps.items():
+                jump = jumps.get(signature)
+                if jump is None:
+                    jump = jumps[signature] = self._jump(*signature)
+                index = np.array(positions)
+                states[index] = _gf2_product(states[index], jump)
+        # Load start states of every captured vector, in application order.
+        loads = np.empty((self._num_vectors, n), dtype=np.float32)
+        load_step = self._jump(self._chain_length, 0)
+        for vectors, blocks in starts.items():
+            current = np.concatenate(blocks)
+            first = np.array(offsets[vectors])
+            for vector in range(vectors):
+                if vector:
+                    current = _gf2_product(current, load_step)
+                loads[first + vector] = current
+        return self._captured_vectors(loads)
 
 
 class DecompressionController:
     """The counter-based controller that sequences seeds and segments.
 
-    ``batched=True`` runs the schedule on the segment-batched numpy
-    datapath (:class:`_BatchedDatapath`); the default replays it clock by
-    clock through the :class:`Decompressor` -- the two produce identical
-    outcomes.
+    ``batched=True`` records the schedule for the segment-level numpy
+    datapath (:class:`_SegmentDatapath`), which replays it after the
+    walk; the default replays it clock by clock through the
+    :class:`Decompressor` -- the two produce identical outcomes.
     """
 
     def __init__(self, decompressor: Decompressor, batched: bool = False):
         self._decompressor = decompressor
-        self._batched = _BatchedDatapath(decompressor) if batched else None
+        self._batched = batched
 
     def run(
         self,
@@ -328,6 +424,7 @@ class DecompressionController:
         skip_clocks = 0
         seeds_applied = 0
         schedules = {s.seed_index: s for s in reduction.schedules}
+        datapath = _SegmentDatapath(self._decompressor) if self._batched else None
 
         for group_count, seed_indices in groups.items():
             counters.group.load(min(group_count, counters.group.max_value))
@@ -335,8 +432,8 @@ class DecompressionController:
             for seed_index in seed_indices:
                 record = encoding.seeds[seed_index]
                 schedule = schedules[seed_index]
-                if self._batched is not None:
-                    self._batched.load_seed(record.seed)
+                if datapath is not None:
+                    datapath.load_seed(record.seed)
                 else:
                     self._decompressor.load_seed(record.seed)
                 counters.useful_segment.load(
@@ -347,18 +444,10 @@ class DecompressionController:
                 for plan in schedule.segments:
                     useful = mode_select.mode(seed_index, plan.segment_index)
                     if useful:
-                        if self._batched is not None:
-                            outputs = self._batched.run(
-                                plan.vectors_applied * chain_length, "normal"
-                            )
+                        if datapath is not None:
+                            datapath.useful(plan.vectors_applied)
                             lfsr_clocks += plan.vectors_applied * chain_length
                             vectors_applied += plan.vectors_applied
-                            if collect_vectors:
-                                useful_vectors.extend(
-                                    self._batched.captured_vectors(
-                                        outputs, plan.vectors_applied
-                                    )
-                                )
                         else:
                             self._decompressor.set_mode(LFSRMode.NORMAL)
                             for _ in range(plan.vectors_applied):
@@ -372,9 +461,8 @@ class DecompressionController:
                                     )
                     else:
                         remainder = plan.lfsr_clocks - plan.skip_clocks
-                        if self._batched is not None:
-                            self._batched.run(plan.skip_clocks, "skip")
-                            self._batched.run(remainder, "normal")
+                        if datapath is not None:
+                            datapath.useless(plan.skip_clocks, remainder)
                             lfsr_clocks += plan.lfsr_clocks
                             skip_clocks += plan.skip_clocks
                         else:
@@ -391,6 +479,8 @@ class DecompressionController:
                 counters.seed.increment()
             counters.group.increment()
 
+        if datapath is not None and collect_vectors:
+            useful_vectors = datapath.replay()
         return SimulationOutcome(
             seeds_applied=seeds_applied,
             vectors_applied=vectors_applied,
@@ -414,7 +504,7 @@ def simulate_decompression(
 
     The datapath model follows the selected engine backend:
     ``engine="reference"`` replays clock by clock, every other backend uses
-    the segment-batched numpy datapath; the outcomes are identical (the
+    the segment-level numpy datapath; the outcomes are identical (the
     golden-equivalence tests enforce this).  ``batched=`` is the deprecated
     boolean spelling of the same choice.
     """

@@ -5,8 +5,8 @@ dict simulation, the persistent bucket-queue event engine vs from-scratch
 evaluation, event-driven vs full-pass PODEM, codegen-compiled simulation
 and fault simulation vs the packed/dict engines, batched vs per-pattern
 drop simulation, batched-trials vs scan GF(2) solving, numpy vs reference
-embedding matching, batched vs per-clock decompressor replay).  The golden
-tests pin each pair on a handful of fixed seeds; this module turns the same
+embedding matching, segment-level vs per-clock decompressor replay).  The
+golden tests pin each pair on a handful of fixed seeds; this module turns the same
 idiom into *checks* a fuzz loop can drive with arbitrary seeds and sizes.
 
 A check takes one :class:`~repro.fuzz.generators.FuzzCase`, regenerates the
@@ -466,7 +466,7 @@ def _check_embedding(case: FuzzCase) -> Optional[str]:
 
 
 def _check_decompressor(case: FuzzCase) -> Optional[str]:
-    """Segment-batched decompressor replay vs the per-clock datapath."""
+    """Segment-level decompressor replay vs the per-clock datapath."""
     encoded = _staged_encoding(case)
     reduction = _pipeline.reduce(encoded)
     args = (
@@ -490,8 +490,8 @@ def _check_decompressor(case: FuzzCase) -> Optional[str]:
             a, b = getattr(batched, attr), getattr(reference, attr)
             if a != b:
                 return (
-                    f"batched decompressor replay diverges from the per-clock "
-                    f"reference on {attr}: batched={_clip(a)} "
+                    "segment-level decompressor replay diverges from the "
+                    f"per-clock reference on {attr}: batched={_clip(a)} "
                     f"per-clock={_clip(b)}"
                 )
     return None
@@ -617,8 +617,12 @@ register(
 register(
     Check(
         name="decompressor",
-        description="segment-batched decompressor replay vs per-clock datapath",
-        space=dict(_ENCODING_SPACE),
+        description=(
+            "segment-level decompressor replay (jump matrices through the "
+            "skip circuit, one GEMM per segment length) vs per-clock datapath"
+        ),
+        # ``lfsr`` as for solver-batch: replays cross 64-bit register states.
+        space=dict(_ENCODING_SPACE, lfsr=(8, 80, 8)),
         run=_check_decompressor,
     )
 )

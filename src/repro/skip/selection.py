@@ -29,7 +29,7 @@ import numpy as np
 from repro.encoding.equations import EquationSystem
 from repro.encoding.results import EncodingResult
 from repro.skip.segments import WindowSegmentation
-from repro.testdata.test_set import TestSet
+from repro.testdata.test_set import TestSet, pack_vectors, packed_matches
 
 #: A segment is identified by (seed index, segment index within the window).
 SegmentId = Tuple[int, int]
@@ -82,11 +82,6 @@ class UsefulSegmentSelection:
         return len(self.useful_segments)
 
 
-#: uint64-entry budget of one broadcast containment intermediate (~32 MB).
-#: Cube chunks are sized so ``chunk x positions x words`` stays below it.
-_MATCH_CHUNK_BUDGET = 4_000_000
-
-
 def build_embedding_map(
     result: EncodingResult,
     test_set: TestSet,
@@ -133,27 +128,11 @@ def build_embedding_map(
         # repeated builds over one set -- the (S, k) sweep pattern -- skip
         # the per-call np.stack over every cube.
         cares, values = test_set.packed_matrices()
-        num_positions = flat.shape[0]
         segment_starts = np.array(
             [segmentation.bounds(s)[0] for s in range(segmentation.num_segments)],
             dtype=np.intp,
         )
-        chunk = max(1, _MATCH_CHUNK_BUDGET // max(1, num_positions))
-        for start in range(0, len(cubes), chunk):
-            care_chunk = cares[start : start + chunk]
-            value_chunk = values[start : start + chunk]
-            # (chunk, positions): does vector p cover cube c?  Accumulated
-            # word by word so the temporaries stay (chunk, P)-sized; words
-            # no cube of the chunk cares about are skipped outright (cubes
-            # are sparse, so most words are).
-            matches = np.ones((care_chunk.shape[0], num_positions), dtype=bool)
-            for w in range(num_words):
-                care_w = care_chunk[:, w]
-                if not care_w.any():
-                    continue
-                matches &= (
-                    words[w][None, :] & care_w[:, None]
-                ) == value_chunk[:, w][:, None]
+        for start, matches in packed_matches(cares, values, words):
             # Collapse positions to segments in one pass per seed axis.
             per_window = matches.reshape(-1, num_seeds, window_length)
             per_segment = np.logical_or.reduceat(per_window, segment_starts, axis=2)
@@ -199,18 +178,11 @@ def build_embedding_map_reference(
 
 def _pack_windows(windows: List[List[int]], num_words: int) -> np.ndarray:
     """uint64-blocked form of integer windows (fallback packing path)."""
-    num_seeds = len(windows)
     window_length = len(windows[0]) if windows else 0
-    buffer = np.zeros(
-        (num_seeds, window_length, num_words * 8), dtype=np.uint8
+    vectors = [vector for window in windows for vector in window]
+    return pack_vectors(vectors, num_words).T.reshape(
+        len(windows), window_length, num_words
     )
-    nbytes = num_words * 8
-    for s, window in enumerate(windows):
-        for v, vector in enumerate(window):
-            buffer[s, v] = np.frombuffer(
-                vector.to_bytes(nbytes, "little"), dtype=np.uint8
-            )
-    return buffer.view("<u8")
 
 
 def _check_deterministic_embeddings(

@@ -21,6 +21,50 @@ from repro.lru import LRUCache
 from repro.testdata.cube import TestCube
 
 
+#: uint64-entry budget of one broadcast containment intermediate (~32 MB).
+#: Cube blocks are sized so ``block x vectors x words`` stays below it.
+_MATCH_CHUNK_BUDGET = 4_000_000
+
+
+def packed_matches(
+    cares: np.ndarray, values: np.ndarray, words: np.ndarray
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Which packed vectors cover which cubes, one block of cubes at a time.
+
+    ``cares`` / ``values`` are the ``(num_cubes, W)`` uint64 matrices of
+    :meth:`TestSet.packed_matrices`; ``words`` holds the vectors
+    word-major, ``(W, num_vectors)``.  Yields ``(first, matches)`` with
+    ``matches[c, p]`` true iff vector ``p`` covers cube ``first + c``,
+    i.e. ``(vector & care) == value`` in every word.  The test is
+    accumulated word by word so temporaries stay ``(block, vectors)``
+    sized, and words no cube of the block cares about are skipped
+    outright (cubes are sparse, so most words are).
+    """
+    num_vectors = words.shape[1]
+    block = max(1, _MATCH_CHUNK_BUDGET // max(1, num_vectors))
+    for first in range(0, cares.shape[0], block):
+        care_block = cares[first : first + block].T
+        value_block = values[first : first + block].T
+        matches = np.ones((care_block.shape[1], num_vectors), dtype=bool)
+        for w in np.flatnonzero(care_block.any(axis=1)).tolist():
+            matches &= (words[w] & care_block[w][:, None]) == value_block[w][:, None]
+        yield first, matches
+
+
+def pack_vectors(vectors: Sequence[int], num_words: int) -> np.ndarray:
+    """Packed integer vectors as a word-major ``(num_words, len)`` uint64 array.
+
+    Bits above ``64 * num_words`` are dropped (negative integers keep
+    their two's-complement low bits), which no cube of that width reads.
+    """
+    mask = (1 << (64 * num_words)) - 1
+    buffer = b"".join(
+        (vector & mask).to_bytes(8 * num_words, "little") for vector in vectors
+    )
+    words = np.frombuffer(buffer, dtype="<u8").reshape(len(vectors), num_words)
+    return np.ascontiguousarray(words.T)
+
+
 @dataclass(frozen=True)
 class TestSetStats:
     """Summary statistics of a test set."""
@@ -156,12 +200,12 @@ class TestSet:
     # ------------------------------------------------------------------
     def uncovered_cubes(self, vectors: Iterable[int]) -> List[int]:
         """Indices of cubes not covered by any of the given packed vectors."""
-        vector_list = list(vectors)
-        missing = []
-        for index, cube in enumerate(self._cubes):
-            if not any(cube.matches_vector(v) for v in vector_list):
-                missing.append(index)
-        return missing
+        cares, values = self.packed_matrices()
+        words = pack_vectors(list(vectors), cares.shape[1])
+        covered = np.zeros(len(self._cubes), dtype=bool)
+        for first, matches in packed_matches(cares, values, words):
+            covered[first : first + matches.shape[0]] = matches.any(axis=1)
+        return np.flatnonzero(~covered).tolist()
 
     def all_covered(self, vectors: Iterable[int]) -> bool:
         """True when every cube is covered by at least one vector."""

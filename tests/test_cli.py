@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.circuits.bench import write_bench
@@ -201,8 +203,6 @@ class TestBenchCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "hot-kernel benchmarks" in out
-        import json
-
         encoding = json.loads((out_dir / "BENCH_encoding.json").read_text())
         faultsim = json.loads((out_dir / "BENCH_faultsim.json").read_text())
         faultsim_compiled = json.loads(
@@ -298,3 +298,30 @@ class TestBenchCommand:
         )
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_bench_prints_the_threshold_as_given(self, tmp_path, capsys):
+        """``--max-regression 1.02`` prints as 1.02x, not rounded to 1.0x."""
+        out_dir = tmp_path / "first"
+        args = ["bench", "--quick", "--repeat", "1", "--kernels", "faultsim"]
+        assert main(args + ["--out", str(out_dir)]) == 0
+        report = json.loads((out_dir / "BENCH_faultsim.json").read_text())
+        capsys.readouterr()
+        for wall_s, code, verdict in ((1e9, 0, "no regression"), (1e-9, 1, "REGRESSION")):
+            baseline_dir = tmp_path / f"baseline-{code}"
+            baseline_dir.mkdir()
+            doctored = dict(
+                report, cases=[dict(case, wall_s=wall_s) for case in report["cases"]]
+            )
+            (baseline_dir / "BENCH_faultsim.json").write_text(json.dumps(doctored))
+            assert main(
+                args
+                + [
+                    "--out", str(tmp_path / f"run-{code}"),
+                    "--baseline", str(baseline_dir),
+                    "--regression-metric", "wall_s",
+                    "--max-regression", "1.02",
+                ]
+            ) == code
+            out = capsys.readouterr().out
+            assert verdict in out
+            assert "(threshold 1.02x)" in out

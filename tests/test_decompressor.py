@@ -131,45 +131,62 @@ class TestModeSelect:
         assert costly.cost().gate_equivalents > cheap.cost().gate_equivalents
 
 
-class TestPowersCache:
-    def test_ladders_shared_across_datapaths(self, flow):
-        """Two datapaths over one substrate share one doubling ladder.
-
-        The ladder lists live in the module-level substrate-keyed cache
-        and are extended in place, so powers computed by one
-        simulate_decompression call are reused by the next.
-        """
-        from repro.decompressor import architecture as arch_mod
-
+class TestReplayCaches:
+    def _replay(self, flow):
         encoder, test_set, encoding, reduction = flow
-        def build():
-            decompressor = Decompressor(
-                encoder.lfsr.transition,
-                encoder.phase_shifter,
-                encoder.architecture,
-                reduction.config.speedup,
-            )
-            return arch_mod._BatchedDatapath(decompressor)
+        return simulate_decompression(
+            encoding,
+            reduction,
+            encoder.lfsr.transition,
+            encoder.phase_shifter,
+            encoder.architecture,
+            engine="events",
+        )
 
-        first = build()
-        second = build()
-        assert first._powers["normal"] is second._powers["normal"]
-        assert first._powers["skip"] is second._powers["skip"]
-        # run() extends the shared ladder in place; a later datapath
-        # starts from every power already computed.
-        before = len(first._powers["normal"])
-        first.load_seed(encoding.seeds[0].seed)
-        first.run(65, "normal")
-        extended = len(first._powers["normal"])
-        assert extended > before
-        assert len(build()._powers["normal"]) == extended
+    def test_caches_are_bounded_lrus(self, flow):
+        """Every cross-call matrix cache of the replay is a bounded LRU."""
+        from repro.decompressor import architecture as arch_mod
+        from repro.lru import LRUCache
 
-    def test_cache_bounded(self, flow):
+        self._replay(flow)
+        caches = (
+            (arch_mod._JUMP_CACHE, arch_mod._JUMP_CACHE_SIZE),
+            (arch_mod._CAPTURE_CACHE, arch_mod._CAPTURE_CACHE_SIZE),
+        )
+        for cache, bound in caches:
+            assert isinstance(cache, LRUCache)
+            assert cache.bound == bound
+            assert 0 < len(cache) <= bound
+
+    def test_matrices_reused_across_calls(self, flow):
+        """A second replay over one substrate builds no matrix."""
         from repro.decompressor import architecture as arch_mod
 
+        first = self._replay(flow)
+        misses = (arch_mod._JUMP_CACHE.misses, arch_mod._CAPTURE_CACHE.misses)
+        assert self._replay(flow) == first
         assert (
-            len(arch_mod._POWERS_CACHE) <= arch_mod._POWERS_CACHE_SIZE
+            arch_mod._JUMP_CACHE.misses,
+            arch_mod._CAPTURE_CACHE.misses,
+        ) == misses
+
+    def test_replay_runs_through_the_skip_circuit(self, flow):
+        """Useless segments jump through ``K``: a broken circuit shows."""
+        encoder, test_set, encoding, reduction = flow
+        decompressor = Decompressor(
+            encoder.lfsr.transition,
+            encoder.phase_shifter,
+            encoder.architecture,
+            reduction.config.speedup,
         )
+        # A skip circuit one state short of A^k.
+        decompressor.lfsr.skip_circuit._matrix = encoder.lfsr.transition.power(
+            reduction.config.speedup - 1
+        )
+        outcome = DecompressionController(decompressor, batched=True).run(
+            encoding, reduction
+        )
+        assert outcome.useful_vectors != self._replay(flow).useful_vectors
 
 
 class TestSimulation:

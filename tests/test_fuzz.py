@@ -123,12 +123,12 @@ class TestChecksPassOnHead:
         assert outcome.status == "ok", outcome.detail
 
 
-def test_solver_batch_fuzzes_two_word_rows():
-    """The ``lfsr`` axis reaches LFSRs whose augmented rows span two words."""
-    check = CHECKS["solver-batch"]
+def _run_lfsr72_case(name):
+    """One fixed case of check ``name`` on a 72-cell LFSR."""
+    check = CHECKS[name]
     assert check.space["lfsr"][1] > 64
     case = FuzzCase(
-        check="solver-batch",
+        check=name,
         seed=3,
         params={
             "num_cells": 48, "num_cubes": 10, "max_specified": 8,
@@ -138,6 +138,16 @@ def test_solver_batch_fuzzes_two_word_rows():
     assert case_config(case, case_test_set(case)).lfsr_size == 72
     outcome = run_case(check, case)
     assert outcome.status == "ok", outcome.detail
+
+
+def test_solver_batch_fuzzes_two_word_rows():
+    """The ``lfsr`` axis reaches LFSRs whose augmented rows span two words."""
+    _run_lfsr72_case("solver-batch")
+
+
+def test_decompressor_fuzzes_two_word_states():
+    """The ``lfsr`` axis reaches replays whose register states span two words."""
+    _run_lfsr72_case("decompressor")
 
 
 class TestChaosChecks:

@@ -16,9 +16,10 @@ replaced:
   returned detections vs the fault simulator's own bookkeeping;
 * the uint64-blocked seed-window expansion vs the integer expansion;
 * the vectorized embedding map vs the pure-Python scan on a small grid;
-* the segment-batched decompressor simulation vs the clock-level replay.
+* the segment-level decompressor replay vs the clock-level replay.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -38,6 +39,7 @@ from repro.circuits.ternary import ternary_state_to_dict
 from repro.config import CompressionConfig
 from repro.context import CompressionContext
 from repro.decompressor.architecture import simulate_decompression
+from repro.skip.reduction import SequenceReducer
 from repro.skip.segments import WindowSegmentation
 from repro.skip.selection import (
     build_embedding_map,
@@ -443,8 +445,51 @@ class TestEmbeddingMapGolden:
 # ----------------------------------------------------------------------
 # Batched decompressor vs clock-level reference
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def encoded_wide():
+    """The ``encoded`` test set on a 72-cell LFSR (two-word states)."""
+    profile = get_profile("s9234")
+    test_set = generate_test_set(profile, seed=1, scale=0.06)
+    config = CompressionConfig(
+        window_length=60,
+        segment_size=5,
+        num_scan_chains=profile.scan_chains,
+        lfsr_size=72,
+    )
+    return pipeline.encode(
+        test_set, config, context=CompressionContext(), verify=True
+    )
+
+
+def _replay_both(encoded, reduction):
+    args = (
+        encoded.encoding,
+        reduction,
+        encoded.substrate.lfsr.transition,
+        encoded.substrate.phase_shifter,
+        encoded.substrate.architecture,
+    )
+    return (
+        simulate_decompression(*args, engine="events"),
+        simulate_decompression(*args, engine="reference"),
+    )
+
+
+def _plans(reduction):
+    return [plan for schedule in reduction.schedules for plan in schedule.segments]
+
+
 class TestBatchedDecompressorGolden:
-    @pytest.mark.parametrize("segment_size,speedup", [(5, 3), (10, 12)])
+    @pytest.mark.parametrize(
+        "segment_size,speedup",
+        [
+            (5, 3),
+            (10, 12),
+            (7, 6),  # L = 60: a 4-vector last segment
+            (1, 12),  # k > S*r: useless segments with zero skip clocks
+            (5, 2),
+        ],
+    )
     def test_batched_outcome_identical(self, encoded, segment_size, speedup):
         reduction = pipeline.reduce(
             encoded,
@@ -452,19 +497,54 @@ class TestBatchedDecompressorGolden:
                 segment_size=segment_size, speedup=speedup
             ),
         )
-        args = (
-            encoded.encoding,
-            reduction,
-            encoded.substrate.lfsr.transition,
-            encoded.substrate.phase_shifter,
-            encoded.substrate.architecture,
-        )
-        batched = simulate_decompression(*args, engine="events")
-        reference = simulate_decompression(*args, engine="reference")
+        if speedup > segment_size * encoded.substrate.architecture.chain_length:
+            assert any(
+                not plan.useful and plan.skip_clocks == 0
+                for plan in _plans(reduction)
+            )
+        batched, reference = _replay_both(encoded, reduction)
         assert batched.seeds_applied == reference.seeds_applied
         assert batched.vectors_applied == reference.vectors_applied
         assert batched.useful_vectors == reference.useful_vectors
         assert batched.lfsr_clocks == reference.lfsr_clocks
         assert batched.skip_clocks == reference.skip_clocks
         assert batched.group_sizes == reference.group_sizes
+        assert batched == reference
         assert batched.covers(encoded.test_set)
+
+    def test_hand_shaped_schedules(self, encoded):
+        """Only-first-useful seeds beside runs of useless segments and a
+        useful short last segment, in every seed group."""
+        reduction = pipeline.reduce(
+            encoded, encoded.config.with_updates(segment_size=7, speedup=6)
+        )
+        last = reduction.num_segments_per_window - 1
+        shapes = [[0], [0, last], [0, 2, 3, last], [0, 1, 5], [0, 4]]
+        reducer = SequenceReducer(
+            encoded.substrate.equations, reduction.config
+        )
+        schedules = [
+            reducer._schedule_seed(index, shapes[index % len(shapes)])
+            for index in range(encoded.encoding.num_seeds)
+        ]
+        shaped = dataclasses.replace(
+            reduction, schedules=schedules, selection=None, embedding=None
+        )
+        assert any(
+            plan.useful and plan.vectors_applied < 7 for plan in _plans(shaped)
+        )
+        batched, reference = _replay_both(encoded, shaped)
+        assert batched == reference
+
+    @pytest.mark.parametrize("segment_size,speedup", [(5, 3), (7, 16)])
+    def test_wide_lfsr(self, encoded_wide, segment_size, speedup):
+        assert encoded_wide.substrate.lfsr.size > 64
+        reduction = pipeline.reduce(
+            encoded_wide,
+            encoded_wide.config.with_updates(
+                segment_size=segment_size, speedup=speedup
+            ),
+        )
+        batched, reference = _replay_both(encoded_wide, reduction)
+        assert batched == reference
+        assert batched.covers(encoded_wide.test_set)

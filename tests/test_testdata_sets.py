@@ -1,5 +1,8 @@
 """Tests for test sets, profiles, synthetic generation and literature data."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.testdata import literature
@@ -11,7 +14,22 @@ from repro.testdata.profiles import (
     profile_names,
 )
 from repro.testdata.synthetic import SyntheticTestSetGenerator, generate_test_set
-from repro.testdata.test_set import TestSet
+from repro.testdata.test_set import TestSet, pack_vectors, packed_matches
+
+
+def _uncovered_reference(cubes, vectors):
+    """Cell-by-cell coverage scan: the reference of the packed check."""
+    return [
+        index
+        for index, cube in enumerate(cubes)
+        if not any(
+            all(
+                cube.bit(cell) in (None, (vector >> cell) & 1)
+                for cell in range(cube.num_cells)
+            )
+            for vector in vectors
+        )
+    ]
 
 
 def small_set():
@@ -112,6 +130,44 @@ class TestTestSet:
         assert ts.uncovered_cubes([0b1001]) == [2]
         assert not ts.all_covered([0b1001])
         assert ts.all_covered([0b1001, 0b0100])
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 1464])
+    def test_coverage_matches_cell_by_cell_reference(self, width):
+        rng = random.Random(width)
+        full = (1 << width) - 1
+        cubes = [
+            TestCube(width, full, 0),
+            TestCube(width, full, full),
+            TestCube(width, 1 << (width - 1), 1 << (width - 1)),
+        ]
+        for density in (0.02, 0.5, 0.98):
+            mask = sum(1 << i for i in range(width) if rng.random() < density)
+            cubes.append(TestCube(width, mask or 1, rng.getrandbits(width)))
+        # Random vectors plus one built to cover every other cube.
+        vectors = [rng.getrandbits(width) for _ in range(5)] + [
+            (rng.getrandbits(width) & ~cube.care_mask) | cube.care_value
+            for cube in cubes[::2]
+        ]
+        test_set = TestSet("widths", cubes)
+        for subset in ([], vectors[:1], vectors[-1:], vectors):
+            expected = _uncovered_reference(cubes, subset)
+            assert test_set.uncovered_cubes(subset) == expected
+            assert test_set.all_covered(subset) == (not expected)
+
+    @pytest.mark.parametrize("width", [1, 64, 65])
+    def test_all_x_rows_match_any_vector(self, width):
+        """An all-X row (which a TestSet rejects) is covered by any vector."""
+        cubes = [TestCube(width, 0, 0), TestCube(width, 1, 1)]
+        cares = np.stack([cube.packed_words()[0] for cube in cubes])
+        values = np.stack([cube.packed_words()[1] for cube in cubes])
+        for vectors in ([], [0], [0, 1]):
+            words = pack_vectors(vectors, cares.shape[1])
+            [(first, matches)] = packed_matches(cares, values, words)
+            assert first == 0
+            assert matches.tolist() == [
+                [True] * len(vectors),
+                [bool(vector & 1) for vector in vectors],
+            ]
 
     def test_text_roundtrip(self):
         ts = small_set()
